@@ -122,7 +122,6 @@ namespace {
 /// Budgets and `jobs` are deliberately excluded (see solution_cache.hpp).
 void key_steady_options(CacheKey& key, const SteadyStateOptions& opts) {
   key.add(opts.dense_threshold);
-  key.add(opts.enable_fallbacks);
   key.add(opts.gth_fallback_threshold);
   key.add(opts.sor.omega);
   key.add(opts.sor.tol);
@@ -196,9 +195,7 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   robust::RobustSteadyOptions robust_opts;
   robust_opts.dense_primary = opts.dense_threshold;
   robust_opts.dense_fallback =
-      opts.enable_fallbacks
-          ? std::max(opts.dense_threshold, opts.gth_fallback_threshold)
-          : opts.dense_threshold;
+      std::max(opts.dense_threshold, opts.gth_fallback_threshold);
   robust_opts.sor = opts.sor;
   robust_opts.bicgstab = opts.bicgstab;
   robust_opts.ncd = opts.ncd;
@@ -211,23 +208,6 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   robust_opts.budget.deadline = robust::Deadline::earliest(
       robust_opts.budget.deadline, robust::ambient_deadline());
   robust_opts.jobs = opts.jobs;
-  if (!opts.enable_fallbacks) {
-    // Raw single-method behavior: GTH below the threshold, plain SOR above.
-    if (n <= opts.dense_threshold) {
-      auto pi = gth_steady_state(dense_generator());
-      if (use_cache) cache.insert(std::move(key), {pi, {}});
-      if (report) *report = robust::SolveReport{};
-      return pi;
-    }
-    SorOptions sor_opts = opts.sor;
-    if (sor_opts.jobs == 0) sor_opts.jobs = opts.jobs;
-    sor_opts.budget.deadline = robust::Deadline::earliest(
-        sor_opts.budget.deadline, robust::ambient_deadline());
-    SorResult r = sor_steady_state(bt.build(), diag, sor_opts);
-    if (use_cache) cache.insert(std::move(key), {r.pi, r.report});
-    if (report) *report = r.report;
-    return std::move(r.pi);
-  }
   robust::RobustResult r =
       robust::robust_steady_state(bt.build(), diag, robust_opts);
   if (use_cache) cache.insert(std::move(key), {r.pi, r.report});

@@ -51,10 +51,6 @@ struct SteadyStateOptions {
   /// relkit_serve per-request "solver"). The *effective* choice is part of
   /// the solution-cache key.
   robust::SolverChoice solver = robust::SolverChoice::kAuto;
-  /// Route non-converging iterative solves through the fallback chain
-  /// (SOR -> omega reset -> power iteration -> dense GTH when the chain is
-  /// small enough). Disable to get the raw single-method behavior.
-  bool enable_fallbacks = true;
   /// Dense GTH is allowed as a *last resort* up to this size even when the
   /// chain is above dense_threshold (O(n^3) beats no answer).
   std::size_t gth_fallback_threshold = 2048;

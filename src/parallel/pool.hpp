@@ -17,10 +17,10 @@
 //     merges per-chunk accumulators in chunk-index order, so a reduction's
 //     result is a pure function of (inputs, n, chunk) — the worker count
 //     can change only the wall-clock time, not the answer. Stochastic
-//     fan-outs (simulator replications, rare-event cycles and their
-//     RESTART split branches) extend the same idea to randomness: streams
-//     are pre-split from the master seed in item order (and branch streams
-//     from the parent stream in spawn order) before any chunk runs. See
+//     fan-outs (simulator replications, uncertainty samples, rare-event
+//     cycles) go through seeded_reduce, which extends the same idea to
+//     randomness: item i always draws from the i-th split() of the master
+//     stream, whichever thread runs it and whatever the jobs value. See
 //     docs/parallelism.md for the full determinism contract.
 //   * Cooperative cancellation: an optional cancel() predicate (typically
 //     robust::Budget deadline checks) is polled between chunks; once it
@@ -35,6 +35,7 @@
 // the calling thread (first one wins).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -113,7 +114,7 @@ Acc reduce_chunks(ThreadPool& pool, std::size_t n, std::size_t chunk,
 
 /// The process-wide parallelism degree used by sim::*, uncertainty::* and
 /// the CLI when no explicit pool is given. The LIBRARY default is 1
-/// (fully sequential, bit-identical to historical behavior); opting into
+/// (everything runs on the caller's thread); opting into
 /// parallelism is an entry-point decision (relkit_cli --jobs, bench --jobs,
 /// or an explicit set_default_jobs call).
 unsigned default_jobs();
@@ -149,7 +150,7 @@ class PoolLease {
   }
 
   /// The pool to run on, or nullptr when the solve should stay on the
-  /// caller's thread (the bit-identical historical sequential path).
+  /// caller's thread.
   ThreadPool* get() const { return pool_; }
   /// Effective parallelism degree (>= 1).
   unsigned jobs() const { return jobs_; }
@@ -159,5 +160,46 @@ class PoolLease {
   ThreadPool* pool_ = nullptr;
   std::unique_ptr<ThreadPool> owned_;
 };
+
+/// The one fan-out for stochastic estimators: a reduce_chunks over [0, n)
+/// on the lease's pool in which item i draws from the i-th master.split()
+/// stream. chunk_fn(begin, end, streams) must call streams.split() once
+/// per item, in item order, to obtain that item's stream.
+///
+/// Instead of one stream per item, master is walked once and copied at
+/// each chunk boundary (one copy per chunk, ~64-128 for most n); a chunk
+/// replays split() from its copy, and master ends as after n split()
+/// calls. Without a leased pool the same chunks fold in the same order on
+/// the caller's thread, so the result is bit-identical for every jobs
+/// value. Callers hold the lease (not a jobs count) so that a loop of
+/// fan-outs, like the rare-event batches, shares one pool. Rng is any
+/// copyable generator whose split() consumes one operator()() draw, so the
+/// walk draws instead of splitting.
+template <typename Acc, typename Rng, typename ChunkFn, typename MergeFn>
+Acc seeded_reduce(const PoolLease& lease, Rng& master, std::size_t n,
+                  Acc init, const ChunkFn& chunk_fn, const MergeFn& merge,
+                  const ThreadPool::CancelFn& cancel = nullptr) {
+  const std::size_t chunk = default_chunk(n);
+  std::vector<Rng> chunk_starts;
+  chunk_starts.reserve((n + chunk - 1) / chunk);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % chunk == 0) chunk_starts.push_back(master);
+    master();
+  }
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    Rng streams = chunk_starts[begin / chunk];
+    return chunk_fn(begin, end, streams);
+  };
+  if (lease.get() != nullptr) {
+    return reduce_chunks<Acc>(*lease.get(), n, chunk, std::move(init), run,
+                              merge, cancel);
+  }
+  Acc acc = std::move(init);
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    if (cancel && cancel()) break;
+    merge(acc, run(begin, std::min(begin + chunk, n)));
+  }
+  return acc;
+}
 
 }  // namespace relkit::parallel

@@ -442,44 +442,29 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
     }
     const std::size_t n = std::min(opts.batch, target - launched);
     launched += n;
-    // Pre-split every cycle's stream in cycle order — the stream a cycle
-    // consumes never depends on the batch shape or the worker count.
-    std::vector<Rng> streams;
-    streams.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) streams.push_back(master.split());
-
-    const std::size_t chunk = parallel::default_chunk(n);
-    auto chunk_fn = [&](std::size_t begin, std::size_t end) {
-      BivariateStats local;
-      CycleWalker walker(model, opts, levels, mttf);
-      for (std::size_t r = begin; r < end; ++r) {
-        const CycleOutcome c = walker.run(streams[r]);
-        local.add(c.num, c.den);
-      }
-      cycle_counter.add(end - begin);
-      return local;
-    };
-    const auto merge_fn = [](BivariateStats& acc,
-                             const BivariateStats& part) { acc.merge(part); };
-    BivariateStats batch_stats;
-    if (lease.get() == nullptr) {
-      // Sequential path: same chunk decomposition, same fold order as the
-      // pool path, so the result is bit-identical for every jobs value.
-      for (std::size_t b = 0; b < n; b += chunk) {
-        if (budget.deadline.expired()) {
+    // Cycle r of the run draws from the r-th split() of the master stream,
+    // whatever the batch shape or the worker count.
+    const BivariateStats batch_stats = parallel::seeded_reduce<BivariateStats>(
+        lease, master, n, BivariateStats{},
+        [&](std::size_t begin, std::size_t end, Rng& streams) {
+          BivariateStats local;
+          CycleWalker walker(model, opts, levels, mttf);
+          for (std::size_t r = begin; r < end; ++r) {
+            Rng stream = streams.split();
+            const CycleOutcome c = walker.run(stream);
+            local.add(c.num, c.den);
+          }
+          cycle_counter.add(end - begin);
+          return local;
+        },
+        [](BivariateStats& acc, const BivariateStats& part) {
+          acc.merge(part);
+        },
+        [&] {
+          if (!budget.deadline.expired()) return false;
           deadline_hit.store(true, std::memory_order_relaxed);
-          break;
-        }
-        merge_fn(batch_stats, chunk_fn(b, std::min(b + chunk, n)));
-      }
-    } else {
-      batch_stats = parallel::reduce_chunks<BivariateStats>(
-          *lease.get(), n, chunk, BivariateStats{}, chunk_fn, merge_fn, [&] {
-            if (!budget.deadline.expired()) return false;
-            deadline_hit.store(true, std::memory_order_relaxed);
-            return true;
-          });
-    }
+          return true;
+        });
     stats.merge(batch_stats);
     if (deadline_hit.load(std::memory_order_relaxed)) {
       stopped = true;

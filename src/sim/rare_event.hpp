@@ -35,12 +35,12 @@
 //                 off after the first system failure of the cycle so the
 //                 LR stays bounded.
 //
-// Determinism contract (docs/parallelism.md): per-cycle RNG streams are
-// pre-split from the master seed in cycle order, RESTART branch streams
-// are split from the parent branch's stream in spawn (DFS) order, and
-// per-chunk accumulators merge in chunk-index order with chunk boundaries
-// that depend only on the cycle count — so the estimate is bit-identical
-// for EVERY jobs value, including jobs == 1.
+// Determinism contract (docs/parallelism.md): cycle r draws from the r-th
+// split() of the master seed's stream (parallel::seeded_reduce), RESTART
+// branch streams are split from the parent branch's stream in spawn (DFS)
+// order, and per-chunk accumulators merge in chunk-index order with chunk
+// boundaries that depend only on the cycle count — so the estimate is
+// bit-identical for EVERY jobs value, including jobs == 1.
 #pragma once
 
 #include <cstdint>

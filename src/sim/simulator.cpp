@@ -1,13 +1,12 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <queue>
 #include <string>
-
-#include <atomic>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -43,19 +42,17 @@ Estimate summarize(const OnlineStats& stats) {
 }
 
 /// Runs up to `replications` independent replications of `one_rep` under
-/// the budget; each replication gets its own RNG stream split from `seed`
-/// in replication order, regardless of how many workers run them.
-/// A budget stop with >= 2 completed replications returns the partial
-/// estimate (budget_stopped set, warning recorded); with fewer it throws
-/// robust::ConvergenceError carrying the partial mean.
+/// the budget; replication r draws from the r-th split() of the `seed`
+/// stream, regardless of how many workers run it. A budget stop with >= 2
+/// completed replications returns the partial estimate (budget_stopped
+/// set, warning recorded); with fewer it throws robust::ConvergenceError
+/// carrying the partial mean.
 ///
-/// Determinism contract (docs/parallelism.md): with
-/// parallel::default_jobs() == 1 this is the historical sequential loop,
-/// bit for bit. With jobs > 1, replications are farmed out in chunks whose
-/// boundaries depend only on the replication count; per-chunk accumulators
-/// merge in chunk order, so the estimate is identical for ANY worker count
-/// >= 2 (and differs from the sequential result only in floating-point
-/// summation order, never in the sampled values).
+/// Determinism contract (docs/parallelism.md): replications run through
+/// parallel::seeded_reduce on parallel::default_jobs() workers, in chunks
+/// whose boundaries depend only on the replication count, and per-chunk
+/// accumulators merge in chunk order — so the estimate is bit-identical
+/// for EVERY worker count, including 1.
 Estimate run_replications(const char* what, std::size_t replications,
                           std::uint64_t seed, const robust::Budget& budget,
                           const std::function<double(Rng&)>& one_rep) {
@@ -65,58 +62,38 @@ Estimate run_replications(const char* what, std::size_t replications,
   const auto start = std::chrono::steady_clock::now();
   const std::size_t target =
       injector.cap("sim.replications", budget.cap_iterations(replications));
-  const unsigned jobs = parallel::default_jobs();
+  const parallel::PoolLease lease(0);
 
   obs::Span span("sim.estimate");
   span.set("what", what);
   span.set("target", target);
-  span.set("jobs", static_cast<std::uint64_t>(jobs));
+  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   static obs::Counter& rep_counter = obs::counter("sim.replications");
 
   Rng master(seed);
-  OnlineStats stats;
+  std::atomic<bool> deadline_hit{false};
+  const OnlineStats stats = parallel::seeded_reduce<OnlineStats>(
+      lease, master, target, OnlineStats{},
+      [&](std::size_t begin, std::size_t end, Rng& streams) {
+        OnlineStats local;
+        for (std::size_t r = begin; r < end; ++r) {
+          Rng stream = streams.split();
+          local.add(one_rep(stream));
+        }
+        rep_counter.add(end - begin);
+        return local;
+      },
+      [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); },
+      [&] {
+        if (!budget.deadline.expired()) return false;
+        deadline_hit.store(true, std::memory_order_relaxed);
+        return true;
+      });
   bool stopped = false;
   std::string stop_reason;
-  if (jobs <= 1) {
-    for (std::size_t r = 0; r < target; ++r) {
-      if (budget.deadline.expired()) {
-        stopped = true;
-        stop_reason = "deadline expired";
-        break;
-      }
-      Rng stream = master.split();
-      stats.add(one_rep(stream));
-      rep_counter.add();
-    }
-  } else {
-    // Pre-split every replication's stream in replication order — the same
-    // split() sequence the sequential path consumes, so sample values do
-    // not depend on the worker count.
-    std::vector<Rng> streams;
-    streams.reserve(target);
-    for (std::size_t r = 0; r < target; ++r) streams.push_back(master.split());
-    std::atomic<bool> deadline_hit{false};
-    stats = parallel::reduce_chunks<OnlineStats>(
-        parallel::global_pool(), target, parallel::default_chunk(target),
-        OnlineStats{},
-        [&](std::size_t begin, std::size_t end) {
-          OnlineStats local;
-          for (std::size_t r = begin; r < end; ++r) {
-            local.add(one_rep(streams[r]));
-          }
-          rep_counter.add(end - begin);
-          return local;
-        },
-        [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); },
-        [&] {
-          if (!budget.deadline.expired()) return false;
-          deadline_hit.store(true, std::memory_order_relaxed);
-          return true;
-        });
-    if (deadline_hit.load() && stats.count() < target) {
-      stopped = true;
-      stop_reason = "deadline expired";
-    }
+  if (deadline_hit && stats.count() < target) {
+    stopped = true;
+    stop_reason = "deadline expired";
   }
   if (stats.count() < replications && !stopped) {
     stopped = true;

@@ -13,14 +13,13 @@
 //     (exponential timed transitions raced by sampling, immediates resolved
 //     by priority/weight) and estimates transient and accumulated rewards.
 //
-// Replications are driven by independent RNG streams split from one seed,
-// so results are reproducible. When parallel::default_jobs() > 1 the
-// replications fan out across the process-wide thread pool: streams are
-// still split in replication order and per-chunk accumulators merge in a
-// fixed chunk order, so for a given seed the estimate is identical for any
-// worker count >= 2, and jobs == 1 remains bit-identical to the historical
-// sequential loop (determinism contract: docs/parallelism.md). Budget
-// deadlines are polled between chunks, so cancellation keeps working.
+// Replications are driven by independent RNG streams split from one seed
+// in replication order, so results are reproducible. They run through
+// parallel::seeded_reduce on parallel::default_jobs() workers; per-chunk
+// accumulators merge in a fixed chunk order, so for a given seed the
+// estimate is bit-identical for every worker count, 1 included
+// (determinism contract: docs/parallelism.md). Budget deadlines are polled
+// between chunks, so cancellation keeps working.
 #pragma once
 
 #include <functional>
@@ -91,8 +90,8 @@ struct RareEventOptions {
   /// budget_stopped.
   std::size_t max_cycles = 1'000'000;
   /// Parallelism degree: 0 = parallel::default_jobs(), 1 = sequential.
-  /// The estimate is identical for every jobs value (pre-split per-cycle
-  /// streams, fixed chunk boundaries, ordered merge).
+  /// The estimate is identical for every jobs value (per-cycle streams
+  /// split in cycle order, fixed chunk boundaries, ordered merge).
   unsigned jobs = 0;
   /// Deadline / iteration budget (max_iterations also caps cycles).
   robust::Budget budget;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
@@ -33,8 +32,6 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
                     "propagate: null distribution for '" + p.name + "'");
     detail::require(!p.name.empty(), "propagate: empty parameter name");
   }
-  if (jobs == 0) jobs = parallel::default_jobs();
-
   const std::size_t k = params.size();
 
   // For LHS: per-parameter random permutation of strata.
@@ -51,85 +48,46 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
     }
   }
 
+  // Sample i draws from the i-th split() of `rng`, so its parameter values
+  // depend only on the seed and i — never on the worker count. Sample
+  // outputs land at their index, and per-chunk moment accumulators merge
+  // in chunk order (see docs/parallelism.md for the determinism contract).
+  const parallel::PoolLease lease(static_cast<unsigned>(jobs));
+  obs::Span span("uncertainty.propagate");
+  span.set("samples", n);
+  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   UncertaintyResult out;
-  OnlineStats stats;
-  if (jobs <= 1) {
-    out.samples.reserve(n);
-    std::map<std::string, double> assignment;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        double draw;
-        if (sampling == Sampling::kLatinHypercube) {
-          // Uniform within the assigned stratum, inverse-cdf transform.
-          const double u =
-              (static_cast<double>(strata[j][i]) + rng.uniform()) /
-              static_cast<double>(n);
-          const double clamped = std::min(std::max(u, 1e-12), 1.0 - 1e-12);
-          draw = params[j].dist->quantile(clamped);
-        } else {
-          draw = params[j].dist->sample(rng);
-        }
-        assignment[params[j].name] = draw;
-      }
-      const double y = model(assignment);
-      detail::require(std::isfinite(y),
-                      "propagate: model returned a non-finite value");
-      out.samples.push_back(y);
-      stats.add(y);
-    }
-  } else {
-    // Parallel path: each sample draws from its own sub-stream split from
-    // `rng` in sample order, so sample i's parameter values depend only on
-    // the seed and i — never on the worker count. Sample outputs land at
-    // their index, and per-chunk moment accumulators merge in chunk order
-    // (see docs/parallelism.md for the determinism contract).
-    obs::Span span("uncertainty.propagate");
-    span.set("samples", n);
-    span.set("jobs", static_cast<std::uint64_t>(jobs));
-    std::vector<Rng> streams;
-    streams.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) streams.push_back(rng.split());
-    out.samples.assign(n, 0.0);
-    // Reuse the process-wide pool when it matches; a caller asking for a
-    // different explicit degree gets a pool of its own for this call.
-    std::unique_ptr<parallel::ThreadPool> local_pool;
-    if (jobs != parallel::default_jobs()) {
-      local_pool = std::make_unique<parallel::ThreadPool>(
-          static_cast<unsigned>(jobs));
-    }
-    parallel::ThreadPool& pool =
-        local_pool ? *local_pool : parallel::global_pool();
-    stats = parallel::reduce_chunks<OnlineStats>(
-        pool, n, parallel::default_chunk(n), OnlineStats{},
-        [&](std::size_t begin, std::size_t end) {
-          OnlineStats local;
-          std::map<std::string, double> assignment;
-          for (std::size_t i = begin; i < end; ++i) {
-            for (std::size_t j = 0; j < k; ++j) {
-              double draw;
-              if (sampling == Sampling::kLatinHypercube) {
-                const double u =
-                    (static_cast<double>(strata[j][i]) +
-                     streams[i].uniform()) /
-                    static_cast<double>(n);
-                const double clamped =
-                    std::min(std::max(u, 1e-12), 1.0 - 1e-12);
-                draw = params[j].dist->quantile(clamped);
-              } else {
-                draw = params[j].dist->sample(streams[i]);
-              }
-              assignment[params[j].name] = draw;
+  out.samples.assign(n, 0.0);
+  const OnlineStats stats = parallel::seeded_reduce<OnlineStats>(
+      lease, rng, n, OnlineStats{},
+      [&](std::size_t begin, std::size_t end, Rng& streams) {
+        OnlineStats local;
+        std::map<std::string, double> assignment;
+        for (std::size_t i = begin; i < end; ++i) {
+          Rng stream = streams.split();
+          for (std::size_t j = 0; j < k; ++j) {
+            double draw;
+            if (sampling == Sampling::kLatinHypercube) {
+              // Uniform within the assigned stratum, inverse-cdf transform.
+              const double u =
+                  (static_cast<double>(strata[j][i]) + stream.uniform()) /
+                  static_cast<double>(n);
+              const double clamped = std::min(std::max(u, 1e-12), 1.0 - 1e-12);
+              draw = params[j].dist->quantile(clamped);
+            } else {
+              draw = params[j].dist->sample(stream);
             }
-            const double y = model(assignment);
-            detail::require(std::isfinite(y),
-                            "propagate: model returned a non-finite value");
-            out.samples[i] = y;
-            local.add(y);
+            assignment[params[j].name] = draw;
           }
-          return local;
-        },
-        [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); });
-  }
+          const double y = model(assignment);
+          detail::require(std::isfinite(y),
+                          "propagate: model returned a non-finite value");
+          out.samples[i] = y;
+          local.add(y);
+        }
+        return local;
+      },
+      [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); });
   out.mean = stats.mean();
   out.stddev = stats.stddev();
   return out;

@@ -86,9 +86,10 @@ TEST(Golden, BridgeRelgraph) {
 }
 
 // The bit-identical pin for the sequential state-space path: a fixed
-// 12-state birth-death chain solved by raw SOR at jobs = 1 must reproduce
-// the pre-parallelism values exactly, component by component. If this test
-// fails, the jobs = 1 path is no longer the historical sequential loop.
+// 12-state birth-death chain solved by forced SOR at jobs = 1 must
+// reproduce the pre-parallelism values exactly, component by component. If
+// this test fails, the SOR kernel's jobs = 1 path is no longer the
+// historical sequential loop.
 TEST(Golden, Jobs1SteadyStateBits) {
   markov::Ctmc c;
   c.add_states(12);
@@ -97,8 +98,8 @@ TEST(Golden, Jobs1SteadyStateBits) {
     c.add_transition(i + 1, i, 1.1 - 0.04 * static_cast<double>(i));
   }
   markov::SteadyStateOptions opts;
-  opts.dense_threshold = 0;  // force SOR
-  opts.enable_fallbacks = false;
+  opts.dense_threshold = 0;
+  opts.solver = robust::SolverChoice::kSor;
   opts.sor.tol = 1e-13;
   opts.jobs = 1;
   opts.use_cache = false;

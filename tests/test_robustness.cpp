@@ -211,10 +211,10 @@ TEST(FallbackChain, SorNanInjectionFallsBackToFiniteResult) {
 TEST(FallbackChain, StiffNearReducibleRegression) {
   const auto chain = stiff_near_reducible_chain();
 
-  // The raw single-method path gives up: 50 Gauss-Seidel sweeps cannot move
-  // mass across a 1e-9 coupling.
+  // Forced SOR alone gives up: 50 Gauss-Seidel sweeps cannot move mass
+  // across a 1e-9 coupling.
   markov::SteadyStateOptions raw;
-  raw.enable_fallbacks = false;
+  raw.solver = robust::SolverChoice::kSor;
   raw.dense_threshold = 0;
   raw.sor.max_iters = 50;
   EXPECT_THROW(chain.steady_state(raw), robust::ConvergenceError);
@@ -321,7 +321,7 @@ TEST(Budgets, SorDeadlineCarriesPartialResult) {
   const std::size_t n = 10;
   const auto chain = birth_death_chain(n, 1.0, 2.0);
   markov::SteadyStateOptions opts;
-  opts.enable_fallbacks = false;  // reach the raw SOR path
+  opts.solver = robust::SolverChoice::kSor;  // SOR only, no fallback chain
   opts.dense_threshold = 0;
   opts.sor.budget.deadline = robust::Deadline::after_seconds(-1.0);
   try {

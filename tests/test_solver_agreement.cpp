@@ -148,8 +148,8 @@ std::vector<double> solve_gth(const markov::Ctmc& c) {
 std::vector<double> solve_sor(const markov::Ctmc& c, unsigned jobs,
                               bool use_cache) {
   markov::SteadyStateOptions opts;
-  opts.dense_threshold = 0;  // force the iterative path
-  opts.enable_fallbacks = false;
+  opts.dense_threshold = 0;
+  opts.solver = robust::SolverChoice::kSor;
   opts.sor.tol = 1e-13;
   opts.jobs = jobs;
   opts.use_cache = use_cache;
@@ -292,7 +292,7 @@ TEST(SolverAgreement, CacheOnAgreesAndHits) {
     robust::SolveReport report;
     markov::SteadyStateOptions opts;
     opts.dense_threshold = 0;
-    opts.enable_fallbacks = false;
+    opts.solver = robust::SolverChoice::kSor;
     opts.sor.tol = 1e-13;
     const std::vector<double> second = c.steady_state(opts, &report);
     EXPECT_EQ(cache.hits(), hits_before + 1) << "chain " << chain;
@@ -337,7 +337,7 @@ TEST(SolverAgreement, DeadlineMidSolveAtJobsFourReturnsPartial) {
   }
   markov::SteadyStateOptions opts;
   opts.dense_threshold = 0;
-  opts.enable_fallbacks = false;
+  opts.solver = robust::SolverChoice::kSor;
   opts.sor.tol = 1e-15;
   opts.jobs = 4;
   opts.sor.budget.deadline = robust::Deadline::after_seconds(0.02);

@@ -76,7 +76,8 @@
 //
 // Exit codes: 0 success, 1 usage error, 2 model error, 3 numerical error
 // (including convergence failures), 4 invalid argument (malformed or
-// unusable --trace/--metrics/--jobs/--batch/--*-format values included),
+// unusable --time/--trace/--metrics/--jobs/--batch/--*-format values
+// included; a --time must be a finite number >= 0),
 // 5 deadline exceeded with a partial result available (--timeout-ms).
 // Batch mode exits 0 only when every model solved; otherwise it uses the
 // exit class of the first failing model in input order.
@@ -92,6 +93,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/relkit.hpp"
 #include "io/model_parser.hpp"
 #include "sim/simulator.hpp"
@@ -428,52 +430,12 @@ int main(int argc, char** argv) {
     return nullptr;
   };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 ||
-        std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const char* value = argv[i][6] == '=' ? argv[i] + 7 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "invalid argument: --jobs needs a count\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      char* rest = nullptr;
-      const unsigned long parsed = std::strtoul(value, &rest, 10);
-      if (rest == value || *rest != '\0' || parsed == 0 || parsed > 4096) {
-        std::fprintf(stderr,
-                     "invalid argument: --jobs needs an integer in "
-                     "[1, 4096], got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
-      jobs = static_cast<unsigned>(parsed);
-    } else if (std::strcmp(argv[i], "--timeout-ms") == 0 ||
-               std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      const char* value = argv[i][12] == '=' ? argv[i] + 13 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr,
-                       "invalid argument: --timeout-ms needs a count\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      char* rest = nullptr;
-      const long parsed = std::strtol(value, &rest, 10);
-      if (rest == value || *rest != '\0' || parsed <= 0 ||
-          parsed > 86400000) {
-        std::fprintf(stderr,
-                     "invalid argument: --timeout-ms needs an integer in "
-                     "[1, 86400000], got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
-      timeout_ms = parsed;
+    if (relkit::cli::matches(argv[i], "--jobs")) {
+      jobs = static_cast<unsigned>(
+          relkit::cli::parse_count(argc, argv, i, "--jobs", 1, 4096, usage));
+    } else if (relkit::cli::matches(argv[i], "--timeout-ms")) {
+      timeout_ms = relkit::cli::parse_count(argc, argv, i, "--timeout-ms", 1,
+                                            86400000, usage);
     } else if (std::strcmp(argv[i], "--solver") == 0 ||
                std::strncmp(argv[i], "--solver=", 9) == 0) {
       const char* value = argv[i][8] == '=' ? argv[i] + 9 : nullptr;
@@ -508,9 +470,7 @@ int main(int argc, char** argv) {
         return 4;
       }
     } else if (std::strcmp(argv[i], "--time") == 0) {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        times.push_back(std::atof(argv[++i]));
-      }
+      relkit::cli::parse_times(argc, argv, i, times, usage);
     } else if (std::strcmp(argv[i], "--cuts") == 0) {
       want_cuts = true;
     } else if (std::strcmp(argv[i], "--importance") == 0) {

@@ -39,11 +39,11 @@
 // Exit codes: 0 clean shutdown, 1 usage error, 4 invalid argument.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "parallel/pool.hpp"
@@ -66,67 +66,9 @@ void usage() {
                "[--obs-selftest segv|abort|terminate|stall]\n");
 }
 
-/// Parses the value of `--flag N` / `--flag=N` as a long in [lo, hi];
-/// exits 4 on malformed input (matching relkit_cli's convention).
-long parse_count(int argc, char** argv, int& i, const char* flag, long lo,
-                 long hi) {
-  const std::size_t flag_len = std::strlen(flag);
-  const char* value = argv[i][flag_len] == '=' ? argv[i] + flag_len + 1
-                                               : nullptr;
-  if (value == nullptr) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "invalid argument: %s needs a value\n", flag);
-      usage();
-      std::exit(4);
-    }
-    value = argv[++i];
-  }
-  char* rest = nullptr;
-  const long parsed = std::strtol(value, &rest, 10);
-  if (rest == value || *rest != '\0' || parsed < lo || parsed > hi) {
-    std::fprintf(stderr,
-                 "invalid argument: %s needs an integer in [%ld, %ld], got "
-                 "'%s'\n",
-                 flag, lo, hi, value);
-    usage();
-    std::exit(4);
-  }
-  return parsed;
-}
-
-bool matches(const char* arg, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  return std::strncmp(arg, flag, len) == 0 &&
-         (arg[len] == '\0' || arg[len] == '=');
-}
-
-/// Parses the value of `--flag P` / `--flag=P` as a double in [lo, hi];
-/// exits 4 on malformed input.
-double parse_fraction(int argc, char** argv, int& i, const char* flag,
-                      double lo, double hi) {
-  const std::size_t flag_len = std::strlen(flag);
-  const char* value = argv[i][flag_len] == '=' ? argv[i] + flag_len + 1
-                                               : nullptr;
-  if (value == nullptr) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "invalid argument: %s needs a value\n", flag);
-      usage();
-      std::exit(4);
-    }
-    value = argv[++i];
-  }
-  char* rest = nullptr;
-  const double parsed = std::strtod(value, &rest);
-  if (rest == value || *rest != '\0' || !(parsed >= lo) || !(parsed <= hi)) {
-    std::fprintf(stderr,
-                 "invalid argument: %s needs a number in [%g, %g], got "
-                 "'%s'\n",
-                 flag, lo, hi, value);
-    usage();
-    std::exit(4);
-  }
-  return parsed;
-}
+using relkit::cli::matches;
+using relkit::cli::parse_count;
+using relkit::cli::parse_fraction;
 
 /// `--flag` (default value) or `--flag=PATH`; a separate-word PATH form is
 /// deliberately not supported so the optional value stays unambiguous.
@@ -149,7 +91,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (matches(argv[i], "--port")) {
       options.port = static_cast<int>(
-          parse_count(argc, argv, i, "--port", 0, 65535));
+          parse_count(argc, argv, i, "--port", 0, 65535, usage));
     } else if (std::strcmp(argv[i], "--bind") == 0 ||
                std::strncmp(argv[i], "--bind=", 7) == 0) {
       if (argv[i][6] == '=') {
@@ -163,33 +105,33 @@ int main(int argc, char** argv) {
       }
     } else if (matches(argv[i], "--jobs")) {
       jobs = static_cast<unsigned>(
-          parse_count(argc, argv, i, "--jobs", 1, 4096));
+          parse_count(argc, argv, i, "--jobs", 1, 4096, usage));
     } else if (matches(argv[i], "--queue-cap")) {
       options.queue_capacity = static_cast<std::size_t>(
-          parse_count(argc, argv, i, "--queue-cap", 1, 1 << 20));
+          parse_count(argc, argv, i, "--queue-cap", 1, 1 << 20, usage));
     } else if (matches(argv[i], "--timeout-ms")) {
       options.default_timeout_ms = static_cast<int>(
-          parse_count(argc, argv, i, "--timeout-ms", 1, 86400000));
+          parse_count(argc, argv, i, "--timeout-ms", 1, 86400000, usage));
     } else if (matches(argv[i], "--read-timeout-ms")) {
-      options.read_timeout_ms = static_cast<int>(
-          parse_count(argc, argv, i, "--read-timeout-ms", 1, 86400000));
+      options.read_timeout_ms = static_cast<int>(parse_count(
+          argc, argv, i, "--read-timeout-ms", 1, 86400000, usage));
     } else if (matches(argv[i], "--write-timeout-ms")) {
-      options.write_timeout_ms = static_cast<int>(
-          parse_count(argc, argv, i, "--write-timeout-ms", 1, 86400000));
+      options.write_timeout_ms = static_cast<int>(parse_count(
+          argc, argv, i, "--write-timeout-ms", 1, 86400000, usage));
     } else if (matches(argv[i], "--max-body")) {
       options.max_body_bytes = static_cast<std::size_t>(
-          parse_count(argc, argv, i, "--max-body", 1, 1L << 30));
+          parse_count(argc, argv, i, "--max-body", 1, 1L << 30, usage));
     } else if (std::strcmp(argv[i], "--allow-paths") == 0) {
       options.allow_path_requests = true;
     } else if (matches(argv[i], "--trace-sample")) {
       options.trace_sample =
-          parse_fraction(argc, argv, i, "--trace-sample", 0.0, 1.0);
+          parse_fraction(argc, argv, i, "--trace-sample", 0.0, 1.0, usage);
     } else if (matches(argv[i], "--trace")) {
       options.trace_path =
           parse_optional_path(argv[i], "--trace", "relkit_serve_trace.json");
     } else if (matches(argv[i], "--access-log-max-bytes")) {
-      options.access_log_max_bytes = static_cast<std::size_t>(
-          parse_count(argc, argv, i, "--access-log-max-bytes", 0, 1L << 40));
+      options.access_log_max_bytes = static_cast<std::size_t>(parse_count(
+          argc, argv, i, "--access-log-max-bytes", 0, 1L << 40, usage));
     } else if (matches(argv[i], "--access-log")) {
       options.access_log_path = parse_optional_path(
           argv[i], "--access-log", "relkit_serve_access.log");
@@ -197,7 +139,8 @@ int main(int argc, char** argv) {
       want_postmortem = true;
       postmortem_dir = parse_optional_path(argv[i], "--postmortem", ".");
     } else if (matches(argv[i], "--watchdog-ms")) {
-      watchdog_ms = parse_count(argc, argv, i, "--watchdog-ms", 1, 86400000);
+      watchdog_ms =
+          parse_count(argc, argv, i, "--watchdog-ms", 1, 86400000, usage);
     } else if (matches(argv[i], "--obs-selftest")) {
       const char* value = argv[i][14] == '=' ? argv[i] + 15 : nullptr;
       if (value == nullptr) {
@@ -211,9 +154,7 @@ int main(int argc, char** argv) {
       }
       selftest_mode = value;
     } else if (std::strcmp(argv[i], "--time") == 0) {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        options.default_times.push_back(std::atof(argv[++i]));
-      }
+      relkit::cli::parse_times(argc, argv, i, options.default_times, usage);
     } else {
       usage();
       return 1;

@@ -39,11 +39,19 @@ class InvalidArgument : public Error {
 };
 
 namespace detail {
-/// Throws InvalidArgument with `msg` unless `cond` holds.
+/// Throws InvalidArgument with `msg` unless `cond` holds. The literal
+/// overloads build no std::string when the check passes, so hot loops
+/// (one matvec per uniformization step) stay allocation-free.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 /// Throws ModelError with `msg` unless `cond` holds.
+inline void require_model(bool cond, const char* msg) {
+  if (!cond) throw ModelError(msg);
+}
 inline void require_model(bool cond, const std::string& msg) {
   if (!cond) throw ModelError(msg);
 }

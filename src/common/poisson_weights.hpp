@@ -18,10 +18,14 @@ struct PoissonWeights {
   /// Smallest n with a retained weight.
   std::size_t left = 0;
   /// weights[i] ~= Poisson(lambda) pmf at n = left + i, normalized so the
-  /// retained window sums to exactly 1 (the discarded tail mass, < eps, is
+  /// retained window sums to exactly 1 (the discarded tail mass is
   /// redistributed proportionally — standard for uniformization, which needs
   /// a convex combination).
   std::vector<double> weights;
+  /// Upper bound on the Poisson mass outside the window: each discarded
+  /// tail is bounded by a geometric series from its first dropped term.
+  /// Near eps, but not capped by it.
+  double tail_mass = 0.0;
 };
 
 /// Computes the weight window for Poisson(lambda), lambda >= 0.

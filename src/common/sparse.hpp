@@ -4,12 +4,13 @@
 // uniformization) need only row-oriented access and matrix-vector products,
 // so RelKit uses a plain CSR representation assembled from triplets.
 //
-// The matvec products accept an optional parallel::ThreadPool and then run
-// row-chunked on it. Determinism contract (docs/parallelism.md): a null
-// pool (or a 1-job pool) is the verbatim historical sequential loop, and
-// any worker count produces the same result because chunk boundaries
-// depend only on the row count and per-chunk partials merge in chunk-index
-// order.
+// The matvec products write into a caller-owned buffer, so an iterative
+// solver allocates its vectors once, and accept an optional
+// parallel::ThreadPool to run row-chunked on it. Determinism contract
+// (docs/parallelism.md): chunk boundaries depend only on the row count, so
+// `multiply` (disjoint writes) gives the sequential bits for every pool and
+// `multiply_left` (per-chunk partials merged in chunk-index order) gives
+// one result for every pool of two or more workers.
 #pragma once
 
 #include <cstddef>
@@ -40,25 +41,27 @@ class SparseMatrix {
   double value(std::size_t k) const { return values_[k]; }
   double& value(std::size_t k) { return values_[k]; }
 
-  /// y = A x  (returns y).
-  std::vector<double> multiply(const std::vector<double>& x) const;
+  /// y = A x into `y` (resized to rows()), row-chunked on `pool`: each
+  /// output entry is produced by exactly one chunk in the sequential
+  /// order, so the result is bit-identical to the pool-free product for
+  /// every worker count. pool == nullptr runs on the caller's thread.
+  /// `x` and `y` must be distinct vectors.
+  void multiply(const std::vector<double>& x, std::vector<double>& y,
+                parallel::ThreadPool* pool = nullptr) const;
 
-  /// y = x A  (row vector times matrix; the natural product for probability
-  /// vectors over a generator/transition matrix).
-  std::vector<double> multiply_left(const std::vector<double>& x) const;
-
-  /// y = A x, row-chunked on `pool` (each output entry is produced by
-  /// exactly one chunk, so the result is bit-identical to the sequential
-  /// product for every worker count). pool == nullptr runs sequentially.
+  /// y = A x, returned (wraps the into-buffer product).
   std::vector<double> multiply(const std::vector<double>& x,
-                               parallel::ThreadPool* pool) const;
+                               parallel::ThreadPool* pool = nullptr) const;
 
-  /// y = x A on `pool`: each row chunk scatters into a private partial
-  /// vector and the partials are summed in chunk-index order, which
-  /// reproduces the sequential accumulation order per output entry.
-  /// pool == nullptr runs sequentially (the historical loop, verbatim).
-  std::vector<double> multiply_left(const std::vector<double>& x,
-                                    parallel::ThreadPool* pool) const;
+  /// y = x A into `y` (resized to cols()): row vector times matrix, the
+  /// natural product for probability vectors over a transition matrix.
+  /// pool == nullptr runs the sequential scatter loop; on a pool each row
+  /// chunk scatters into a private partial vector and the partials are
+  /// summed in chunk-index order, so every worker count >= 2 gives the same
+  /// bits (not always the sequential loop's bits: the per-entry sums are
+  /// grouped by chunk). `x` and `y` must be distinct vectors.
+  void multiply_left(const std::vector<double>& x, std::vector<double>& y,
+                     parallel::ThreadPool* pool = nullptr) const;
 
   /// Entry (r, c), or 0 if absent (binary search within the row).
   double at(std::size_t r, std::size_t c) const;

@@ -217,45 +217,9 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
 
 namespace {
 
-// Shared uniformization machinery: returns the DTMC matrix P = I + Q/q and
-// the uniformization rate q (slightly above the max exit rate so that P has
-// strictly positive diagonal, improving convergence for stiff chains).
-struct Uniformized {
-  SparseMatrix p;
-  double q;
-};
-
-Uniformized uniformize(const SparseMatrix& generator,
-                       const std::vector<double>& exit_rates) {
-  double qmax = 0.0;
-  for (double r : exit_rates) qmax = std::max(qmax, r);
-  const double q = qmax > 0.0 ? qmax * 1.02 : 1.0;
-  const std::size_t n = exit_rates.size();
-  SparseBuilder b(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    double diag = 1.0;
-    for (std::size_t k = generator.row_begin(r); k < generator.row_end(r);
-         ++k) {
-      const std::size_t c = generator.col(k);
-      const double v = generator.value(k);
-      if (c == r) {
-        diag += v / q;
-      } else {
-        b.add(r, c, v / q);
-      }
-    }
-    b.add(r, r, diag);
-  }
-  return {b.build(), q};
-}
-
-}  // namespace
-
-namespace {
-
-/// Overflow guard shared by the uniformization solvers: rejects Poisson
-/// means that are non-finite or large enough to make the step loop
-/// effectively unbounded. Throws ConvergenceError carrying `partial`.
+/// Overflow guard of the uniformization solvers: rejects Poisson means
+/// that are non-finite or large enough to make the step loop effectively
+/// unbounded. Throws ConvergenceError carrying `partial`.
 double guarded_poisson_mean(double q, double t, const char* context,
                             const std::vector<double>& partial) {
   double mean = testing::FaultInjector::instance().tap("uniformize.qt",
@@ -280,25 +244,84 @@ double guarded_poisson_mean(double q, double t, const char* context,
 
 }  // namespace
 
-std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
-                                    double eps, unsigned jobs) const {
+Uniformized Ctmc::uniformized() const {
+  double qmax = 0.0;
+  for (const double r : exit_rates_) qmax = std::max(qmax, r);
+  return uniformize(sparse_generator(), qmax);
+}
+
+std::vector<double> Ctmc::limit_law(const std::vector<double>& pi0,
+                                    unsigned jobs) const {
   check_distribution(pi0);
-  detail::require(t >= 0.0, "Ctmc::transient: t must be >= 0");
-  if (t == 0.0) return pi0;
+  const std::size_t n = state_count();
+  std::vector<std::vector<StateId>> succ(n), pred(n);
+  for (const auto& tr : transitions_) {
+    succ[tr.from].push_back(tr.to);
+    pred[tr.to].push_back(tr.from);
+  }
+  // Number of states reachable from `stack` along `adj`.
+  const auto reached = [n](const std::vector<std::vector<StateId>>& adj,
+                           std::vector<StateId> stack) {
+    std::vector<char> seen(n, 0);
+    for (const StateId s : stack) seen[s] = 1;
+    std::size_t count = stack.size();
+    while (!stack.empty()) {
+      const StateId s = stack.back();
+      stack.pop_back();
+      for (const StateId next : adj[s]) {
+        if (!seen[next]) {
+          seen[next] = 1;
+          ++count;
+          stack.push_back(next);
+        }
+      }
+    }
+    return count;
+  };
 
-  obs::Span span("markov.transient");
-  span.set("states", state_count());
+  std::vector<StateId> absorbing;
+  for (StateId s = 0; s < n; ++s) {
+    if (exit_rates_[s] == 0.0) absorbing.push_back(s);
+  }
+  if (absorbing.empty()) {
+    if (reached(succ, {0}) != n || reached(pred, {0}) != n) return {};
+    // Not through the SolutionCache: its key holds every transition (36 KB
+    // for a 400-state pool pair, 11x the answer), and a transient solve
+    // would leave one such entry per chain it meets. GTH is forced so that
+    // a failed GTH throws instead of falling back to an iterative method.
+    SteadyStateOptions opts;
+    opts.solver = robust::SolverChoice::kGth;
+    opts.jobs = jobs;
+    opts.use_cache = false;
+    return steady_state(opts);
+  }
+  // Every recurrent state is absorbing iff every state reaches one. The
+  // absorbing analysis is a dense LU over the transient states.
+  if (reached(pred, absorbing) != n) return {};
+  return absorbing_analysis(pi0).absorption_probability;
+}
+
+TransientSolution Ctmc::uniformized_solve(const std::vector<double>& pi0,
+                                          double t, double eps, unsigned jobs,
+                                          Want want) const {
+  check_distribution(pi0);
+  detail::require(t >= 0.0, "Ctmc: transient horizon t must be >= 0");
+  const std::size_t n = state_count();
+  if (t == 0.0) return {pi0, std::vector<double>(n, 0.0)};
+
+  obs::Span span("markov.uniformization");
+  span.set("states", n);
   span.set("t", t);
-  static obs::Counter& steps_counter =
-      obs::counter("markov.uniformization_steps");
-
+  robust::SolveReport report;
+  // Only pi(t) alone is memoized; L(t) is recomputed on every call.
+  const bool cumulative = want != Want::kPi;
   auto& injector = testing::FaultInjector::instance();
   auto& cache = SolutionCache::instance();
-  const bool use_cache = cache.enabled() && !injector.active();
+  const bool use_cache = !cumulative && cache.enabled() && !injector.active();
   CacheKey key;
   if (use_cache) {
     key.add(SolutionCache::kTransientTag);
-    key.add(state_count());
+    key.add(n);
     for (const auto& tr : transitions_) {
       key.add(tr.from);
       key.add(tr.to);
@@ -308,159 +331,125 @@ std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
     key.add(eps);
     for (const double x : pi0) key.add(x);
     if (auto hit = cache.lookup(key)) {
-      hit->report.cache_hit = true;
       span.set("cache", "hit");
+      hit->report.cache_hit = true;
       robust::record_last_report(hit->report);
-      return std::move(hit->result);
+      return {std::move(hit->result), {}};
     }
     span.set("cache", "miss");
   }
 
+  const bool cumulative_partial = want == Want::kCumulative;
+  const char* context =
+      cumulative_partial ? "Ctmc::cumulative_time" : "Ctmc::transient";
   const parallel::PoolLease lease(jobs);
   span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
-  const auto [p, q] = uniformize(sparse_generator(), exit_rates_);
-  const double mean = guarded_poisson_mean(q, t, "Ctmc::transient", pi0);
+  const Uniformized u = uniformized();
+  const double mean = guarded_poisson_mean(
+      u.q, t, context,
+      cumulative_partial ? std::vector<double>(n, 0.0) : pi0);
   const PoissonWeights pw = poisson_weights(mean, eps);
-
-  // The convergence series of a uniformized solve is the unprocessed
-  // Poisson tail mass, which decays from 1 toward eps as the window closes.
-  robust::ConvergenceTrace trace;
-  std::vector<double> v = pi0;  // pi0 P^n
-  std::vector<double> out(state_count(), 0.0);
-  const std::size_t steps = pw.left + pw.weights.size();
-  steps_counter.add(steps);
-  span.set("steps", steps);
-  span.set("q", q);
-  const robust::Deadline deadline = robust::ambient_deadline();
-  double window_mass = 0.0;
-  for (std::size_t n = 0; n < steps; ++n) {
-    if (n >= pw.left) {
-      const double w =
-          injector.tap("uniformize.weight", pw.weights[n - pw.left]);
-      window_mass += w;
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * v[i];
-    }
-    trace.record(n + 1, std::max(0.0, 1.0 - window_mass));
-    if (n + 1 == steps) break;
-    if ((n & 15u) == 0 && deadline.expired()) {
-      // Ambient deadline (CLI --timeout-ms / serve request budget): stop
-      // and hand back the best partial — the window accumulated so far,
-      // renormalized when it carries any mass, else the initial state.
-      robust::SolveReport report;
-      report.method = "uniformization";
-      report.attempts = {"uniformization"};
-      report.iterations = n + 1;
-      report.convergence = std::move(trace);
-      report.warn("deadline expired after " + std::to_string(n + 1) + " of " +
-                  std::to_string(steps) + " uniformization steps");
-      std::vector<double> partial = window_mass > 0.0 ? out : pi0;
-      if (window_mass > 0.0) {
-        for (double& x : partial) x /= window_mass;
-      }
-      robust::record_last_report(report);
-      throw robust::ConvergenceError(
-          "Ctmc::transient: deadline expired after " + std::to_string(n + 1) +
-              " of " + std::to_string(steps) + " uniformization steps",
-          std::move(partial), report);
-    }
-    v = p.multiply_left(v, lease.get());
+  // The stopping rule takes the limit law as exact, and only a direct solve
+  // (GTH, dense LU) gives one exact to rounding: an iterative answer
+  // verified at a 1e-6 residual can sit within eps of the iterates along
+  // the chain's slow mode and still be far from the true law. So a chain
+  // with more than dense_threshold unknowns (non-absorbing states) gets no
+  // limit law, and its pass runs no stationarity test.
+  const auto unknowns = static_cast<std::size_t>(
+      std::count_if(exit_rates_.begin(), exit_rates_.end(),
+                    [](double rate) { return rate > 0.0; }));
+  LimitLaw limit;
+  if (unknowns <= SteadyStateOptions{}.dense_threshold) {
+    limit = [&] { return limit_law(pi0, jobs); };
   }
+  UniformizationResult r =
+      uniformization_pass(u, pi0, pw, eps, cumulative, lease.get(), limit,
+                          robust::ambient_deadline());
+  span.set("steps", r.steps);
+  span.set("window", r.window_end);
+  span.set("q", u.q);
 
-  // Post-solve verification: the result must be a finite probability
-  // vector; small drift is renormalized, NaN/Inf is never returned.
-  robust::SolveReport report;
-  report.convergence = std::move(trace);
   report.method = "uniformization";
   report.attempts = {"uniformization"};
-  report.iterations = steps;
-  const double mass = [&] {
-    double s = 0.0;
-    for (const double x : out) s += x;
-    return s;
-  }();
+  report.iterations = r.steps;
+  report.convergence = std::move(r.trace);
+  if (!r.complete) {
+    // Ambient deadline (CLI --timeout-ms / serve request budget): hand back
+    // the best partial — L(t) so far, or the window accumulated so far
+    // renormalized when it carries any mass, else the initial state.
+    const std::string progress = std::to_string(r.steps) + " of " +
+                                 std::to_string(r.window_end) +
+                                 " uniformization steps";
+    report.warn("deadline expired after " + progress);
+    std::vector<double> partial = std::move(r.cumulative);
+    if (!cumulative_partial) {
+      partial = r.weight_mass > 0.0 ? std::move(r.pi) : pi0;
+      if (r.weight_mass > 0.0) {
+        for (double& x : partial) x /= r.weight_mass;
+      }
+    }
+    robust::record_last_report(report);
+    throw robust::ConvergenceError(
+        std::string(context) + ": deadline expired after " + progress,
+        std::move(partial), report);
+  }
+  // The renormalized window is off by at most twice its discarded mass;
+  // L(t) by t times the bound of pi(t).
+  report.error_bound = 2.0 * pw.tail_mass + r.detection_error;
+  if (cumulative_partial) report.error_bound *= t;
+
+  // Post-solve verification: pi(t) must be a finite probability vector
+  // (small drift is renormalized), and the sojourns must be finite and
+  // sum to t (small drift is rescaled); NaN/Inf is never returned.
+  TransientSolution out{std::move(r.pi), std::move(r.cumulative)};
+  double mass = 0.0;
+  for (const double x : out.pi) mass += x;
   report.residual = std::abs(mass - 1.0);
-  robust::repair_distribution(out, report, "Ctmc::transient");
+  robust::repair_distribution(out.pi, report, "Ctmc::transient");
+  if (cumulative) {
+    if (!robust::all_finite(out.cumulative)) {
+      report.warn("cumulative_time: non-finite entries in result");
+      robust::record_last_report(report);
+      throw robust::ConvergenceError(
+          "Ctmc::cumulative_time: result contains NaN/Inf — refusing to "
+          "return it silently",
+          out.cumulative, report);
+    }
+    double total = 0.0;
+    for (double& x : out.cumulative) {
+      if (x < 0.0) x = 0.0;
+      total += x;
+    }
+    const double time_residual = std::abs(total - t) / t;
+    if (total > 0.0 && time_residual > 1e-9) {
+      report.warn("cumulative_time: rescaled (sum of sojourns drifted to " +
+                  std::to_string(total) + " over horizon " +
+                  std::to_string(t) + ")");
+      for (double& x : out.cumulative) x *= t / total;
+    }
+    report.residual = std::max(report.residual, time_residual);
+  }
   report.converged = true;
   robust::record_last_report(report);
-  if (use_cache) cache.insert(std::move(key), {out, report});
+  if (use_cache) cache.insert(std::move(key), {out.pi, report, {}});
   return out;
+}
+
+TransientSolution Ctmc::transient_and_cumulative(
+    const std::vector<double>& pi0, double t, double eps,
+    unsigned jobs) const {
+  return uniformized_solve(pi0, t, eps, jobs, Want::kBoth);
+}
+
+std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
+                                    double eps, unsigned jobs) const {
+  return uniformized_solve(pi0, t, eps, jobs, Want::kPi).pi;
 }
 
 std::vector<double> Ctmc::cumulative_time(const std::vector<double>& pi0,
                                           double t, double eps,
                                           unsigned jobs) const {
-  check_distribution(pi0);
-  detail::require(t >= 0.0, "Ctmc::cumulative_time: t must be >= 0");
-  std::vector<double> acc(state_count(), 0.0);
-  if (t == 0.0) return acc;
-
-  obs::Span span("markov.cumulative");
-  span.set("states", state_count());
-  span.set("t", t);
-  static obs::Counter& steps_counter =
-      obs::counter("markov.uniformization_steps");
-
-  const parallel::PoolLease lease(jobs);
-  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
-  const auto [p, q] = uniformize(sparse_generator(), exit_rates_);
-  const double mean = guarded_poisson_mean(q, t, "Ctmc::cumulative_time",
-                                           acc);
-  const PoissonWeights pw = poisson_weights(mean, eps);
-
-  // L(t) = (1/q) sum_{n>=0} (1 - CDF_Poisson(n)) pi0 P^n.
-  // With the normalized window, CDF(n) = sum of weights up to n; beyond the
-  // window's right end the factor is 0, so iterate to the window end.
-  auto& injector = testing::FaultInjector::instance();
-  robust::ConvergenceTrace trace;
-  std::vector<double> v = pi0;
-  double cdf = 0.0;
-  const std::size_t steps = pw.left + pw.weights.size();
-  steps_counter.add(steps);
-  span.set("steps", steps);
-  span.set("q", q);
-  for (std::size_t n = 0; n < steps; ++n) {
-    if (n >= pw.left) {
-      cdf += injector.tap("uniformize.weight", pw.weights[n - pw.left]);
-    }
-    trace.record(n + 1, std::max(0.0, 1.0 - cdf));
-    const double factor = (1.0 - cdf) / q;
-    if (factor > 0.0) {
-      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += factor * v[i];
-    }
-    if (n + 1 == steps) break;
-    v = p.multiply_left(v, lease.get());
-  }
-
-  // Verification: total sojourn time over [0, t] must equal t; repair small
-  // drift by rescaling, never return NaN/Inf.
-  robust::SolveReport report;
-  report.convergence = std::move(trace);
-  report.method = "uniformization";
-  report.attempts = {"uniformization"};
-  report.iterations = steps;
-  if (!robust::all_finite(acc)) {
-    report.warn("cumulative_time: non-finite entries in result");
-    robust::record_last_report(report);
-    throw robust::ConvergenceError(
-        "Ctmc::cumulative_time: result contains NaN/Inf — refusing to "
-        "return it silently",
-        acc, report);
-  }
-  double total = 0.0;
-  for (double& x : acc) {
-    if (x < 0.0) x = 0.0;
-    total += x;
-  }
-  report.residual = std::abs(total - t) / t;
-  if (total > 0.0 && report.residual > 1e-9) {
-    report.warn("cumulative_time: rescaled (sum of sojourns drifted to " +
-                std::to_string(total) + " over horizon " +
-                std::to_string(t) + ")");
-    for (double& x : acc) x *= t / total;
-  }
-  report.converged = true;
-  robust::record_last_report(report);
-  return acc;
+  return uniformized_solve(pi0, t, eps, jobs, Want::kCumulative).cumulative;
 }
 
 AbsorbingAnalysis Ctmc::absorbing_analysis(
@@ -678,8 +667,8 @@ std::vector<double> transient_sensitivity(const Ctmc& chain, const Matrix& dq,
   const auto deriv = [&](const std::vector<double>& p,
                          const std::vector<double>& s,
                          std::vector<double>& dp, std::vector<double>& ds) {
-    dp = q.multiply_left(p);
-    ds = q.multiply_left(s);
+    q.multiply_left(p, dp);
+    q.multiply_left(s, ds);
     for (std::size_t c = 0; c < n; ++c) {
       double acc = 0.0;
       for (std::size_t r = 0; r < n; ++r) acc += p[r] * dq(r, c);

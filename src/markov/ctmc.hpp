@@ -6,9 +6,9 @@
 //
 //   * steady-state     — GTH elimination (dense, exact) below a size
 //                        threshold, SOR sweeps on the sparse generator above
-//   * transient        — uniformization with stable Poisson weights
-//   * cumulative       — expected total time per state in [0, t]
-//                        (uniformization integral form)
+//   * transient        — pi(t) and cumulative time per state in [0, t]
+//                        from one uniformization pass with stationarity
+//                        detection
 //   * absorbing chains — mean time to absorption (MTTF), per-state expected
 //                        sojourns, absorption probabilities, reliability(t)
 //   * reward models    — expected reward rate (instantaneous, steady-state),
@@ -28,6 +28,7 @@
 #include "common/linsolve.hpp"
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
+#include "markov/uniformization.hpp"
 #include "robust/budget.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
@@ -79,6 +80,12 @@ struct AbsorbingAnalysis {
   std::vector<double> absorption_probability;
 };
 
+/// pi(t) and L(t) from one uniformization pass.
+struct TransientSolution {
+  std::vector<double> pi;          ///< state distribution at t
+  std::vector<double> cumulative;  ///< expected time in each state in [0, t]
+};
+
 /// A finite CTMC with named states.
 class Ctmc {
  public:
@@ -108,15 +115,28 @@ class Ctmc {
                                    robust::SolveReport* report = nullptr)
       const;
 
-  /// State distribution at time t from initial distribution pi0
-  /// (uniformization; eps is the Poisson truncation mass). `jobs`
-  /// parallelizes the per-step vector-matrix product (0 = default_jobs(),
-  /// 1 = sequential); results are memoized in the SolutionCache.
+  /// pi(t) and L(t) from initial distribution pi0 by one uniformization
+  /// pass (markov/uniformization.hpp). eps is the Poisson truncation mass
+  /// and the stationarity tolerance: the pass stops once its iterate is
+  /// within eps (L1) of the chain's limit law, when a direct solve over at
+  /// most SteadyStateOptions::dense_threshold unknowns gives one (GTH for
+  /// an irreducible chain, dense LU when every recurrent state is
+  /// absorbing); otherwise it runs the full window. `jobs` parallelizes
+  /// the per-step product (0 = default_jobs(), 1 = sequential; every value
+  /// gives the same bits). The report's error_bound bounds the L1 error
+  /// of pi(t).
+  TransientSolution transient_and_cumulative(const std::vector<double>& pi0,
+                                             double t, double eps = 1e-12,
+                                             unsigned jobs = 0) const;
+
+  /// State distribution at time t: transient_and_cumulative().pi, from a
+  /// pass that skips the L(t) sums. Memoized in the SolutionCache.
   std::vector<double> transient(const std::vector<double>& pi0, double t,
                                 double eps = 1e-12, unsigned jobs = 0) const;
 
-  /// Expected total time spent in each state during [0, t]. `jobs` as in
-  /// transient().
+  /// Expected total time spent in each state during [0, t]:
+  /// transient_and_cumulative().cumulative. The report's error_bound is
+  /// t times that of pi(t).
   std::vector<double> cumulative_time(const std::vector<double>& pi0,
                                       double t, double eps = 1e-12,
                                       unsigned jobs = 0) const;
@@ -147,6 +167,24 @@ class Ctmc {
   };
 
   void check_distribution(const std::vector<double>& pi0) const;
+  /// The uniformized chain P = I + Q/q the transient solvers step.
+  Uniformized uniformized() const;
+  /// The law pi0 P^n converges to, from a direct solve: GTH (forced,
+  /// bypassing the SolutionCache) for an irreducible chain; the absorption
+  /// probabilities from pi0 (dense LU) when every recurrent state is
+  /// absorbing. Otherwise empty. The caller keeps the unknowns (the
+  /// non-absorbing states) within SteadyStateOptions::dense_threshold.
+  /// Throws what those solvers throw, e.g. ModelError when pi0 puts mass
+  /// on an absorbing state.
+  std::vector<double> limit_law(const std::vector<double>& pi0,
+                                unsigned jobs) const;
+  enum class Want { kPi, kCumulative, kBoth };
+  /// The shared body of the transient solvers: pi(t), and L(t) unless
+  /// `want` is kPi. For kCumulative the report is L(t)'s and a deadline
+  /// stop's ConvergenceError carries L(t) so far; otherwise pi(t)'s.
+  TransientSolution uniformized_solve(const std::vector<double>& pi0,
+                                      double t, double eps, unsigned jobs,
+                                      Want want) const;
 
   std::vector<std::string> names_;
   std::map<std::string, StateId> index_;

@@ -108,7 +108,11 @@ std::vector<double> Dtmc::transient(const std::vector<double>& pi0,
   const SparseMatrix p = sparse_matrix();
   const parallel::PoolLease lease(jobs);
   std::vector<double> v = pi0;
-  for (std::size_t i = 0; i < steps; ++i) v = p.multiply_left(v, lease.get());
+  std::vector<double> next;
+  for (std::size_t i = 0; i < steps; ++i) {
+    p.multiply_left(v, next, lease.get());
+    v.swap(next);
+  }
   return v;
 }
 

@@ -6,6 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/poisson_weights.hpp"
+#include "common/sparse.hpp"
+#include "markov/uniformization.hpp"
 
 namespace relkit::phase {
 
@@ -51,35 +53,23 @@ std::vector<double> PhaseType::exit_rates() const {
 
 namespace {
 
-// One uniformization pass over the PH chain, returning the transient vector
-// pi(t) = alpha exp(T t).
+// pi(t) = alpha exp(T t) by one uniformization pass over the substochastic
+// A = I + T/q. No limit law and no renormalization: the sum of pi(t) is
+// the survival probability.
 std::vector<double> ph_transient(const std::vector<double>& alpha,
                                  const Matrix& t, double x) {
   const std::size_t n = alpha.size();
-  double q = 0.0;
-  for (std::size_t i = 0; i < n; ++i) q = std::max(q, -t(i, i));
-  q *= 1.02;
-  const PoissonWeights pw = poisson_weights(q * x, 1e-13);
-
-  // A = I + T/q (substochastic over transient states).
-  std::vector<double> v = alpha;
-  std::vector<double> out(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  const std::size_t steps = pw.left + pw.weights.size();
-  for (std::size_t step = 0; step < steps; ++step) {
-    if (step >= pw.left) {
-      const double w = pw.weights[step - pw.left];
-      for (std::size_t i = 0; i < n; ++i) out[i] += w * v[i];
-    }
-    if (step + 1 == steps) break;
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = v[j];
-      for (std::size_t i = 0; i < n; ++i) acc += v[i] * t(i, j) / q;
-      next[j] = acc;
-    }
-    v.swap(next);
+  SparseBuilder b(n, n);
+  double qmax = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    qmax = std::max(qmax, -t(i, i));
+    for (std::size_t j = 0; j < n; ++j) b.add(i, j, t(i, j));
   }
-  return out;
+  const markov::Uniformized u = markov::uniformize(b.build(), qmax);
+  return markov::uniformization_pass(u, alpha,
+                                     poisson_weights(u.q * x, 1e-13), 1e-13,
+                                     false, nullptr)
+      .pi;
 }
 
 }  // namespace

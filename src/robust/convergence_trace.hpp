@@ -40,7 +40,9 @@ class ConvergenceTrace {
   void record(std::uint64_t iteration, double value) {
     last_ = {iteration, value};
     have_last_ = true;
-    if (seen_++ % stride_ == 0) {
+    // stride_ is a power of two, so the mask is the modulo without a
+    // division on the per-step path of uniformization.
+    if ((seen_++ & (stride_ - 1)) == 0) {
       samples_.push_back(last_);
       if (samples_.size() >= kMaxSamples) {
         // Decimate: keep every other point, double the stride.

@@ -65,6 +65,11 @@ struct SolveReport {
   std::vector<std::string> warnings;
   std::size_t iterations = 0;  ///< total across all attempts
   double residual = 0.0;       ///< verified post-solve residual
+  /// A priori bound on the answer's error, in the answer's own norm, when
+  /// the method has one (0 = none stated). Uniformization reports the
+  /// Poisson truncation error plus its stationarity-detection error (L1
+  /// for pi(t); in time units for the cumulative L(t)).
+  double error_bound = 0.0;
   double wall_seconds = 0.0;
   bool converged = false;
   /// True when the result was served from the markov::SolutionCache rather
@@ -96,6 +101,11 @@ struct SolveReport {
     out += converged ? " (converged)\n" : " (NOT converged)\n";
     out += "iterations: " + std::to_string(iterations) + "\n";
     out += "residual:   " + std::to_string(residual) + "\n";
+    if (error_bound > 0.0) {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "error bound: %.3g\n", error_bound);
+      out += buf;
+    }
     out += "wall time:  " + std::to_string(wall_seconds) + " s\n";
     if (!attempt_details.empty()) {
       out += "attempts:\n";

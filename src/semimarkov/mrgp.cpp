@@ -79,8 +79,7 @@ Mrgp::CycleAnalysis Mrgp::analyze_cycle(std::size_t regen_index) const {
 
     const SparseMatrix q = chain_.sparse_generator();
     for (const auto& [t, w] : nodes) {
-      const auto cum = chain_.cumulative_time(pi0, t);
-      const auto pit = chain_.transient(pi0, t);
+      const auto [pit, cum] = chain_.transient_and_cumulative(pi0, t);
       for (std::size_t j = 0; j < n; ++j) {
         if (chain_.is_absorbing(j)) continue;
         out.time_in_state[j] += w * cum[j];

@@ -153,7 +153,8 @@ TEST(Sparse, MultiplyBothSides) {
   const auto y = m.multiply({1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 3.0);
   EXPECT_DOUBLE_EQ(y[1], 3.0);
-  const auto z = m.multiply_left({1.0, 1.0});
+  std::vector<double> z;
+  m.multiply_left({1.0, 1.0}, z);
   EXPECT_DOUBLE_EQ(z[0], 4.0);
   EXPECT_DOUBLE_EQ(z[1], 2.0);
 }
